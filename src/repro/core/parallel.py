@@ -1,56 +1,64 @@
-"""Fault-tolerant process scheduler for the sweep grid.
+"""Fault-tolerant cell execution for the sweep grid.
 
 The paper's evaluation grid — 13 benchmarks × 6 machine configurations
 × 11 version/mechanism simulations — is embarrassingly parallel: every
-cell is a fresh machine instance timing a pre-generated trace.  This
-module fans that grid out over worker processes, one process per cell,
-and survives the ways long sweeps actually die:
+cell is a fresh machine instance timing a pre-generated trace.
+:func:`execute_cell` is the one place a cell runs in a worker process,
+and it survives the ways long sweeps actually die:
 
 * **Per-cell timeouts** — a hung worker (deadlock, runaway input) is
   killed at ``timeout`` seconds and the cell retried; a
   ``ProcessPoolExecutor`` cannot do this (``future.result(timeout=...)``
-  abandons the worker but leaves it running), which is why the
-  scheduler manages its own processes.
+  abandons the worker but leaves it running), which is why every cell
+  gets a process of its own.
 * **Bounded retry with exponential backoff** — crashed (``os._exit``,
   OOM kill, segfault), raising, and timed-out cells are retried up to
   ``retries`` times, waiting ``backoff * 2**attempt`` (capped) between
   attempts.
 * **Graceful degradation** — a cell that exhausts its retries becomes a
-  structured :class:`CellFailure` in the result grid and the sweep
-  *completes* with partial results (``on_failure="record"``, the
-  default) instead of throwing hours of finished cells away;
-  ``on_failure="raise"`` aborts with :class:`SweepInterrupted` for
-  callers that need all-or-nothing semantics.  If worker processes
-  cannot be spawned at all, cells fall back to in-process execution.
-* **Crash-safe checkpointing** — with a :class:`~repro.core.runstore.\
-  RunStore` attached, every completed cell is persisted (atomic write,
-  embedded checksum) the moment it arrives, and ``resume=True`` skips
-  cells whose stored results verify, so a killed sweep restarts where
-  it left off and ends bit-identical to an uninterrupted run.
-* **Determinism** — results are keyed ``(config_name, benchmark_name)``
-  and reassembled in submission order by the callers, so the output is
-  independent of worker scheduling, retries, and resume boundaries.
+  structured :class:`CellFailure`; if worker processes cannot be
+  spawned at all, the cell runs in-process.
+* **Cancellation** — a ``threading.Event`` kills the in-flight worker
+  within one poll period and skips any pending backoff.
 
-Cells are prepared lazily: the parent runs the optimizer + trace
-generation for benchmark *k+1* while workers simulate benchmark *k*,
-and at most a few benchmarks' traces are in flight at once.  Recovery
-paths are exercised end-to-end by the fault-injection harness
-(:mod:`repro.core.faults`, ``REPRO_FAULTS``).
+:func:`run_grid` is a bounded pool of ``jobs`` threads over
+:func:`execute_cell` (the sweep service runs its cold cells on it too).
+Under ``on_failure="record"`` (the default) the sweep *completes* with
+partial results instead of throwing hours of finished cells away;
+:class:`SweepInterrupted`, any other exception, or Ctrl-C sets the
+pool's shared cancel event, so in-flight workers are killed, not left
+running.
+
+The grid and the in-process reference sweep (``run_suite(jobs=1)``)
+draw cells from one source, :class:`_GridCells`.  Benchmarks are
+prepared lazily: the parent runs the optimizer + trace generation for
+benchmark *k+1* while workers simulate benchmark *k*.  With a
+:class:`~repro.core.runstore.RunStore` attached, every completed cell
+is checkpointed (atomic write, embedded checksum) the moment it
+arrives, and ``resume=True`` skips cells whose stored results verify,
+so a killed sweep restarts where it left off and ends bit-identical to
+an uninterrupted run.  Results are keyed ``(config_name,
+benchmark_name)`` and reassembled in submission order by the callers,
+so the output is independent of worker scheduling, retries, and resume
+boundaries.  Recovery paths are exercised end-to-end by the
+fault-injection harness (:mod:`repro.core.faults`, ``REPRO_FAULTS``).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import queue
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from repro.core.experiment import (
     BenchmarkRun,
+    expected_version_keys,
     run_benchmark,
     simulate_trace,
 )
@@ -81,7 +89,7 @@ DEFAULT_RETRIES = 2
 #: First retry delay in seconds; doubles per attempt, capped below.
 DEFAULT_BACKOFF = 0.25
 _BACKOFF_CAP = 5.0
-#: Upper bound on one scheduler poll, so deadlines are checked promptly.
+#: Upper bound on one worker poll, so deadlines and cancels act promptly.
 _POLL_SECONDS = 0.5
 
 
@@ -185,6 +193,18 @@ class CellAttempt:
     fallback: bool = False
 
 
+def _check_budget(retries: int, timeout: Optional[float]) -> None:
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
+
+
+def _backoff_delay(backoff: float, failed_attempts: int) -> float:
+    """Seconds to wait after ``failed_attempts`` failures (>= 1)."""
+    return min(backoff * (2 ** (failed_attempts - 1)), _BACKOFF_CAP)
+
+
 def execute_cell(
     fn: Callable,
     make_task: Callable[[int, Optional[FaultPlan]], tuple],
@@ -200,13 +220,13 @@ def execute_cell(
 ):
     """Run one cell in its own worker process with full resilience.
 
-    The single-cell counterpart of :class:`_Scheduler`: the cell runs in
-    a child process (killable at ``timeout``), crashed/raising/timed-out
-    attempts are retried up to ``retries`` times with exponential
-    backoff, an unspawnable worker falls back to in-process execution
-    (fault plan stripped, exactly like the grid scheduler), and a cell
-    that exhausts its budget returns a structured :class:`CellFailure`
-    instead of raising.
+    The only code that runs a cell in a worker process, for the sweep
+    grid (:func:`run_grid`) and the sweep service alike: the cell runs
+    in a child process (killable at ``timeout``), crashed/raising/
+    timed-out attempts are retried up to ``retries`` times with
+    exponential backoff, an unspawnable worker falls back to in-process
+    execution (fault plan stripped), and a cell that exhausts its
+    budget returns a structured :class:`CellFailure` instead of raising.
 
     ``fn`` must be a picklable module-level worker entry;
     ``make_task(attempt, plan)`` builds its (picklable) task tuple per
@@ -220,15 +240,12 @@ def execute_cell(
     process within one poll period, skips any pending backoff wait, and
     returns a :class:`CellFailure` of kind ``"cancelled"`` — never
     retried.  This is the kill path job cancellation, per-job deadlines,
-    and graceful drain all ride.
+    graceful drain, and aborted grids all ride.
 
     Returns ``(value_or_CellFailure, attempts)``.  Blocking: callers
     that need concurrency run it from threads or worker pools.
     """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
+    _check_budget(retries, timeout)
     attempts: list[CellAttempt] = []
 
     def note(record: CellAttempt) -> CellAttempt:
@@ -261,11 +278,13 @@ def execute_cell(
         started = time.monotonic()
         if cancel is not None and cancel.is_set():
             return cancelled_failure(started), attempts
+        fallback = False
         try:
             proc, conn = _start_worker(fn, make_task(attempt, plan))
         except OSError:
             # Broken pool: run in-process with faults stripped (an
-            # os._exit fired here would kill the whole server).
+            # os._exit fired here would kill the whole process).
+            fallback = True
             try:
                 value = fn(make_task(attempt, None))
             except Exception as exc:  # noqa: BLE001 - report, don't die
@@ -320,11 +339,8 @@ def execute_cell(
                 note(CellAttempt(attempt + 1, "ok", time.monotonic() - started))
                 return value, attempts
             message = value
-        note(
-            CellAttempt(
-                attempt + 1, status, time.monotonic() - started, message
-            )
-        )
+        elapsed = time.monotonic() - started
+        note(CellAttempt(attempt + 1, status, elapsed, message, fallback))
         attempt += 1
         if attempt > retries:
             failure = CellFailure(
@@ -336,7 +352,7 @@ def execute_cell(
                 duration=time.monotonic() - first_started,
             )
             return failure, attempts
-        delay = min(backoff * (2 ** (attempt - 1)), _BACKOFF_CAP)
+        delay = _backoff_delay(backoff, attempt)
         if cancel is not None:
             if cancel.wait(delay):
                 return cancelled_failure(time.monotonic()), attempts
@@ -432,261 +448,176 @@ def _stop_worker(proc) -> None:
         proc.join(1.0)
 
 
-class _Cell:
-    """Mutable per-cell scheduling state."""
+@dataclass(frozen=True)
+class _GridCell:
+    """One (benchmark × configuration) cell that still needs simulating."""
 
-    __slots__ = (
-        "key",
-        "benchmark",
-        "config",
-        "payload",
-        "attempt",
-        "eligible_at",
-        "first_started",
-    )
+    benchmark: str
+    config: str
+    payload: tuple  # (codes, machine, mechanisms, classify_misses)
+    store_key: Optional[str]
 
-    def __init__(self, key, benchmark, config, payload):
-        self.key = key
-        self.benchmark = benchmark
-        self.config = config
-        self.payload = payload  # (codes, machine, mechanisms, classify)
-        self.attempt = 0
-        self.eligible_at = 0.0
-        self.first_started: Optional[float] = None  # monotonic, 1st launch
-
-    def task(self, plan: Optional[FaultPlan]):
-        return self.payload + (self.config, self.attempt, plan)
-
-    def elapsed(self) -> float:
-        """Wall-clock seconds since this cell first started running."""
-        if self.first_started is None:
-            return 0.0
-        return time.monotonic() - self.first_started
+    def task(self, attempt: int, plan: Optional[FaultPlan]) -> tuple:
+        """:func:`_run_cell`'s task for one attempt of this cell."""
+        return self.payload + (self.config, attempt, plan)
 
 
-class _Scheduler:
-    """Runs cells on worker processes with retry/timeout/fallback."""
+@dataclass
+class _GridCells:
+    """The cells of a (benchmark × configuration) grid and their bookkeeping.
 
-    def __init__(
-        self,
-        *,
-        workers: int,
-        timeout: Optional[float],
-        retries: int,
-        backoff: float,
-        plan: FaultPlan,
-        on_failure: str,
-        notify: Callable[[str], None],
-        on_success: Callable[[_Cell, BenchmarkRun], None],
-        timeline: Optional["SweepTimeline"] = None,
-    ):
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if on_failure not in ("record", "raise"):
-            raise ValueError(
-                f"on_failure must be 'record' or 'raise', got {on_failure!r}"
+    Iterating prepares each benchmark lazily in the calling thread
+    (``prepare`` once per benchmark, compiler reports dropped), keys
+    every cell in the run store, and yields only the cells that still
+    need simulating: under ``resume`` a cell whose stored result
+    verifies lands in :attr:`results` directly.  :meth:`finish` records
+    a completed cell and checkpoints it.  Both grid drivers consume
+    this — :func:`run_grid` and :meth:`run_in_process` — so they key,
+    restore, checkpoint, and time cells identically.
+    """
+
+    specs: Iterable[WorkloadSpec]
+    machines: dict[str, MachineParams]
+    prepare: Callable[[WorkloadSpec], BenchmarkCodes]
+    mechanisms: tuple[str, ...]
+    classify_misses: bool
+    store: Union[RunStore, str, Path, None]
+    resume: bool
+    progress: Optional[Callable[[str], None]]
+    timeline: Optional["SweepTimeline"]
+    results: dict[tuple[str, str], GridValue] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if isinstance(self.store, (str, Path)):
+            self.store = RunStore(self.store)
+
+    def notify(self, message: str) -> None:
+        if self.progress is not None:
+            self.progress(message)
+
+    def __iter__(self) -> Iterator[_GridCell]:
+        expected = expected_version_keys(self.mechanisms)
+        for spec in self.specs:
+            self.notify(f"preparing {spec.name}")
+            prep_start = time.monotonic()
+            codes = _slim_codes(self.prepare(spec))
+            if self.timeline is not None:
+                self.timeline.record(
+                    f"prepare {spec.name}",
+                    spec.name,
+                    "prepare",
+                    start=prep_start - self.timeline.origin,
+                    status="prepare",
+                )
+            digests = (
+                [
+                    trace_checksum(codes.base_trace),
+                    trace_checksum(codes.optimized_trace),
+                    trace_checksum(codes.selective_trace),
+                ]
+                if self.store is not None
+                else []
             )
-        self.workers = workers
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.plan = plan
-        self.on_failure = on_failure
-        self.notify = notify
-        self.on_success = on_success
-        self.timeline = timeline
-        self.results: dict[tuple[str, str], GridValue] = {}
-        self._retry: list[_Cell] = []
-        self._running: dict[
-            object, tuple[_Cell, object, Optional[float], float]
-        ] = {}
+            for config, machine in self.machines.items():
+                store_key = None
+                if self.store is not None:
+                    store_key = self.store.cell_key(
+                        "cell",
+                        spec.name,
+                        config,
+                        scale=codes.scale,
+                        machine=machine,
+                        mechanisms=self.mechanisms,
+                        classify_misses=self.classify_misses,
+                        digests=digests,
+                    )
+                    cached = self.resume and self.store.get(store_key)
+                    if (
+                        isinstance(cached, BenchmarkRun)
+                        and list(cached.results) == expected
+                    ):
+                        self.results[(config, spec.name)] = cached
+                        if self.timeline is not None:
+                            self.timeline.restored(spec.name, config)
+                        self.notify(
+                            f"  {spec.name} on {config} done "
+                            "(restored from store)"
+                        )
+                        continue
+                payload = (
+                    codes, machine, self.mechanisms, self.classify_misses
+                )
+                yield _GridCell(spec.name, config, payload, store_key)
 
-    # ------------------------------------------------------------------
-
-    def run(self, cells: Iterator[_Cell]) -> dict[tuple[str, str], GridValue]:
-        pending_source = True
-        try:
-            while True:
-                now = time.monotonic()
-                while len(self._running) < self.workers:
-                    cell = self._eligible(now)
-                    if cell is None and pending_source:
-                        cell = next(cells, None)
-                        if cell is None:
-                            pending_source = False
-                    if cell is None:
-                        break
-                    self._launch(cell)
-                    now = time.monotonic()
-                if not self._running:
-                    if not pending_source and not self._retry:
-                        break
-                    if self._retry:
-                        # Everything is backing off; sleep to eligibility.
-                        wake = min(c.eligible_at for c in self._retry)
-                        time.sleep(max(0.0, min(wake - now, _BACKOFF_CAP)))
-                    continue
-                self._collect()
-        finally:
-            for cell, proc, _, _ in self._running.values():
-                _stop_worker(proc)
-            self._running.clear()
-        return self.results
-
-    # ------------------------------------------------------------------
-
-    def _record_span(
-        self, cell: _Cell, started: float, status: str, **annotations
+    def attempted(
+        self, cell: _GridCell, record: CellAttempt, ended: float
     ) -> None:
-        """Append one attempt span to the sweep timeline, if attached."""
+        """Add one attempt, which ended at monotonic ``ended``, to the
+        timeline (when attached)."""
         if self.timeline is None:
             return
+        annotations = {"message": record.message} if record.message else {}
+        if record.fallback:
+            annotations["fallback"] = "in-process"
+        end = ended - self.timeline.origin
         self.timeline.record(
             cell.benchmark,
             cell.benchmark,
             cell.config,
-            start=started - self.timeline.origin,
-            status=status,
-            attempt=cell.attempt + 1,
+            start=end - record.seconds,
+            status=record.status,
+            attempt=record.attempt,
+            end=end,
             **annotations,
         )
 
-    # ------------------------------------------------------------------
+    def finish(
+        self,
+        cell: _GridCell,
+        run: BenchmarkRun,
+        attempt: int = 0,
+        plan: Optional[FaultPlan] = None,
+    ) -> None:
+        """Record a completed cell and checkpoint it to the store.
 
-    def _eligible(self, now: float) -> Optional[_Cell]:
-        for index, cell in enumerate(self._retry):
-            if cell.eligible_at <= now:
-                return self._retry.pop(index)
-        return None
-
-    def _launch(self, cell: _Cell) -> None:
-        started = time.monotonic()
-        if cell.first_started is None:
-            cell.first_started = started
-        try:
-            proc, conn = _start_worker(_run_cell, cell.task(self.plan or None))
-        except OSError as exc:
-            self._run_in_process(cell, exc)
-            return
-        deadline = (
-            started + self.timeout if self.timeout is not None else None
-        )
-        self._running[conn] = (cell, proc, deadline, started)
-
-    def _run_in_process(self, cell: _Cell, cause: OSError) -> None:
-        """Broken-pool fallback: run the cell in the parent.
-
-        Faults are stripped — an ``os._exit`` fired in the parent would
-        kill the whole sweep, which is exactly what the fallback exists
-        to avoid.
+        ``plan`` and the 0-based ``attempt`` that produced ``run`` drive
+        injected store corruption.
         """
-        self.notify(
-            f"  worker unavailable ({cause}); running "
-            f"{cell.benchmark} on {cell.config} in-process"
-        )
-        started = time.monotonic()
-        if cell.first_started is None:
-            cell.first_started = started
-        try:
-            value = _run_cell(cell.task(None))
-        except Exception as exc:  # noqa: BLE001
-            message = f"{type(exc).__name__}: {exc}"
-            self._record_span(
-                cell, started, "error", fallback="in-process", message=message
-            )
-            self._attempt_failed(cell, "error", message)
-            return
-        self._record_span(cell, started, "ok", fallback="in-process")
-        self._succeeded(cell, value)
-
-    def _collect(self) -> None:
-        wait_for = _POLL_SECONDS
-        now = time.monotonic()
-        deadlines = [
-            d for _, _, d, _ in self._running.values() if d is not None
-        ]
-        if deadlines:
-            wait_for = min(wait_for, max(0.0, min(deadlines) - now))
-        if self._retry and len(self._running) < self.workers:
-            # A free slot is waiting on a backoff: wake when it expires.
-            wake = min(c.eligible_at for c in self._retry)
-            wait_for = min(wait_for, max(0.0, wake - now))
-        ready = _connection_wait(list(self._running), timeout=wait_for)
-        for conn in ready:
-            cell, proc, _, started = self._running.pop(conn)
-            try:
-                status, value = conn.recv()
-            except (EOFError, OSError):
-                proc.join(1.0)
-                status, value = (
-                    "crash",
-                    f"worker died without reporting "
-                    f"(exit code {proc.exitcode})",
-                )
-            conn.close()
-            proc.join(1.0)
-            if status == "ok":
-                self._record_span(cell, started, "ok")
-                self._succeeded(cell, value)
-            elif status == "error":
-                self._record_span(cell, started, "error", message=value)
-                self._attempt_failed(cell, "error", value)
-            else:
-                self._record_span(cell, started, "crash", message=value)
-                self._attempt_failed(cell, "crash", value)
-        now = time.monotonic()
-        for conn in [
-            conn
-            for conn, (_, _, deadline, _) in self._running.items()
-            if deadline is not None and now >= deadline
-        ]:
-            cell, proc, _, started = self._running.pop(conn)
-            _stop_worker(proc)
-            conn.close()
-            self._record_span(
-                cell, started, "timeout", timeout_seconds=self.timeout
-            )
-            self._attempt_failed(
-                cell,
-                "timeout",
-                f"cell exceeded the {self.timeout:g}s per-cell timeout",
-            )
-
-    # ------------------------------------------------------------------
-
-    def _succeeded(self, cell: _Cell, value: BenchmarkRun) -> None:
-        self.results[cell.key] = value
+        self.results[(cell.config, cell.benchmark)] = run
         self.notify(f"  {cell.benchmark} on {cell.config} done")
-        self.on_success(cell, value)
-
-    def _attempt_failed(self, cell: _Cell, kind: str, message: str) -> None:
-        cell.attempt += 1
-        if cell.attempt <= self.retries:
-            delay = min(
-                self.backoff * (2 ** (cell.attempt - 1)), _BACKOFF_CAP
-            )
-            cell.eligible_at = time.monotonic() + delay
-            self._retry.append(cell)
-            self.notify(
-                f"  {cell.benchmark} on {cell.config} {kind} "
-                f"({message}); retrying in {delay:.2f}s "
-                f"(attempt {cell.attempt + 1}/{self.retries + 1})"
-            )
+        if self.store is None:
             return
-        failure = CellFailure(
-            benchmark=cell.benchmark,
-            config=cell.config,
-            kind=kind,
-            attempts=cell.attempt,
-            message=message,
-            duration=cell.elapsed(),
+        self.store.put(
+            cell.store_key,
+            run,
+            meta={
+                "kind": "cell",
+                "benchmark": cell.benchmark,
+                "config": cell.config,
+                "scale": cell.payload[0].scale.name,
+            },
         )
-        self.notify(f"  FAILED {failure.describe()}")
-        if self.on_failure == "raise":
-            raise SweepInterrupted(failure)
-        self.results[cell.key] = failure
+        fault = plan and plan.store_fault(cell.benchmark, cell.config, attempt)
+        if fault:
+            corrupt_stored_entry(self.store, cell.store_key)
+            self.notify(
+                f"  injected store corruption on {cell.benchmark} "
+                f"on {cell.config} ({fault.spec()})"
+            )
+
+    def run_in_process(self) -> dict[tuple[str, str], GridValue]:
+        """Simulate every cell in this process, one after another.
+
+        No worker process, kill, retry, or fault injection: this is the
+        reference every other execution path must reproduce.
+        """
+        for cell in self:
+            started = time.monotonic()
+            run = _run_cell(cell.task(0, None))
+            ended = time.monotonic()
+            self.attempted(cell, CellAttempt(1, "ok", ended - started), ended)
+            self.finish(cell, run)
+        return self.results
 
 
 def run_grid(
@@ -709,10 +640,11 @@ def run_grid(
 ) -> dict[tuple[str, str], GridValue]:
     """Fan the (benchmark × configuration) grid over worker processes.
 
-    ``prepare`` runs in the parent, once per benchmark (optimizer +
-    trace generation, exactly as the sequential driver does); cells are
-    pulled lazily, so workers simulate one benchmark while the parent
-    prepares the next.
+    ``jobs`` threads each run one cell at a time through
+    :func:`execute_cell`.  ``prepare`` runs in the calling thread, once
+    per benchmark (optimizer + trace generation); cells are pulled only
+    when a thread is free, so workers simulate one benchmark while the
+    parent prepares the next.
 
     Returns results keyed ``(config_name, benchmark_name)``; a cell
     that exhausted its retries maps to a :class:`CellFailure` (under
@@ -720,115 +652,101 @@ def run_grid(
     cells are checkpointed as they arrive and — when ``resume`` is true
     — cells whose stored result verifies are not re-executed.  The
     ``progress`` callback is invoked only from the calling thread.
+    Leaving early — :class:`SweepInterrupted`, an exception from
+    ``prepare`` or ``progress``, or Ctrl-C — kills every in-flight
+    worker before the exception propagates.
 
     A :class:`~repro.telemetry.sweeptrace.SweepTimeline` passed as
     ``timeline`` collects wall-clock spans for every prepare step and
     every cell attempt (including retries, timeouts, in-process
     fallbacks, and store restores) for Chrome-trace export.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     workers = resolve_jobs(jobs)
-    notify = progress if progress is not None else lambda message: None
-    plan = faults if faults is not None else FaultPlan.from_env()
-    if isinstance(store, (str, Path)):
-        store = RunStore(store)
-
-    results: dict[tuple[str, str], GridValue] = {}
-    store_keys: dict[tuple[str, str], str] = {}
-
-    def cells() -> Iterator[_Cell]:
-        from repro.core.experiment import expected_version_keys
-
-        expected = expected_version_keys(mechanisms)
-        for spec in specs:
-            notify(f"preparing {spec.name}")
-            prep_start = time.monotonic()
-            codes = _slim_codes(prepare(spec))
-            if timeline is not None:
-                timeline.record(
-                    f"prepare {spec.name}",
-                    spec.name,
-                    "prepare",
-                    start=prep_start - timeline.origin,
-                    status="prepare",
-                )
-            digests = (
-                [
-                    trace_checksum(codes.base_trace),
-                    trace_checksum(codes.optimized_trace),
-                    trace_checksum(codes.selective_trace),
-                ]
-                if store is not None
-                else []
-            )
-            for config_name, machine in machines.items():
-                key = (config_name, spec.name)
-                if store is not None:
-                    store_keys[key] = store.cell_key(
-                        "cell",
-                        spec.name,
-                        config_name,
-                        scale=codes.scale,
-                        machine=machine,
-                        mechanisms=mechanisms,
-                        classify_misses=classify_misses,
-                        digests=digests,
-                    )
-                    if resume:
-                        cached = store.get(store_keys[key])
-                        if (
-                            isinstance(cached, BenchmarkRun)
-                            and list(cached.results) == expected
-                        ):
-                            results[key] = cached
-                            if timeline is not None:
-                                timeline.restored(spec.name, config_name)
-                            notify(
-                                f"  {spec.name} on {config_name} done "
-                                "(restored from store)"
-                            )
-                            continue
-                yield _Cell(
-                    key,
-                    spec.name,
-                    config_name,
-                    (codes, machine, mechanisms, classify_misses),
-                )
-
-    def checkpoint(cell: _Cell, run: BenchmarkRun) -> None:
-        if store is None:
-            return
-        skey = store_keys[cell.key]
-        store.put(
-            skey,
-            run,
-            meta={
-                "kind": "cell",
-                "benchmark": cell.benchmark,
-                "config": cell.config,
-                "scale": cell.payload[0].scale.name,
-            },
+    _check_budget(retries, timeout)
+    if on_failure not in ("record", "raise"):
+        raise ValueError(
+            f"on_failure must be 'record' or 'raise', got {on_failure!r}"
         )
-        fault = plan.store_fault(cell.benchmark, cell.config, cell.attempt)
-        if fault is not None:
-            corrupt_stored_entry(store, skey)
-            notify(
-                f"  injected store corruption on {cell.benchmark} "
-                f"on {cell.config} ({fault.spec()})"
-            )
-
-    scheduler = _Scheduler(
-        workers=workers,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        plan=plan,
-        on_failure=on_failure,
-        notify=notify,
-        on_success=checkpoint,
+    plan = faults if faults is not None else FaultPlan.from_env()
+    cells = _GridCells(
+        specs,
+        machines,
+        prepare,
+        mechanisms,
+        classify_misses,
+        store=store,
+        resume=resume,
+        progress=progress,
         timeline=timeline,
     )
-    results.update(scheduler.run(cells()))
-    return results
+    notify = cells.notify
+    # Pool threads report through this queue; only the calling thread
+    # touches progress, the timeline, the store, and the results.
+    events: queue.SimpleQueue = queue.SimpleQueue()
+    cancel = threading.Event()
+    pool = ThreadPoolExecutor(max_workers=workers)
+
+    def submit(cell: _GridCell) -> None:
+        future = pool.submit(
+            execute_cell,
+            _run_cell,
+            cell.task,
+            benchmark=cell.benchmark,
+            config=cell.config,
+            timeout=timeout,
+            retries=retries,
+            backoff=backoff,
+            plan=plan or None,
+            on_attempt=lambda record: events.put(
+                (cell, record, time.monotonic())
+            ),
+            cancel=cancel,
+        )
+        future.add_done_callback(lambda done: events.put((cell, done, 0.0)))
+
+    source = iter(cells)
+    running = 0
+    try:
+        while True:
+            while running < workers:
+                cell = next(source, None)
+                if cell is None:
+                    break
+                submit(cell)
+                running += 1
+            if not running:
+                break
+            cell, item, ended = events.get()
+            if isinstance(item, CellAttempt):
+                cells.attempted(cell, item, ended)
+                if item.fallback:
+                    notify(
+                        f"  worker unavailable; ran {cell.benchmark} on "
+                        f"{cell.config} in-process"
+                    )
+                if item.status != "ok" and item.attempt <= retries:
+                    notify(
+                        f"  {cell.benchmark} on {cell.config} {item.status} "
+                        f"({item.message}); retrying in "
+                        f"{_backoff_delay(backoff, item.attempt):.2f}s "
+                        f"(attempt {item.attempt + 1}/{retries + 1})"
+                    )
+                continue
+            running -= 1
+            value, attempts = item.result()
+            if not isinstance(value, CellFailure):
+                cells.finish(cell, value, attempts[-1].attempt - 1, plan)
+                continue
+            notify(f"  FAILED {value.describe()}")
+            if on_failure == "raise":
+                raise SweepInterrupted(value)
+            cells.results[(cell.config, cell.benchmark)] = value
+    finally:
+        cancel.set()
+        pool.shutdown(wait=True)
+    return cells.results
 
 
 def run_benchmark_parallel(

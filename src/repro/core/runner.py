@@ -1,11 +1,15 @@
 """High-level suite driver: benchmarks × configurations.
 
-Memory discipline: traces are generated per benchmark and simulated on
-every requested configuration before the next benchmark is prepared,
-so at most one benchmark's three traces are alive at a time.  With
-``jobs > 1`` the (benchmark × configuration) grid instead fans out
-over the fault-tolerant scheduler in :mod:`repro.core.parallel`;
-results are bit-identical to a sequential run in either mode.
+``jobs=1`` (the default) simulates every cell in this process, one
+after another — the reference run every other path must reproduce.
+With ``jobs > 1`` the (benchmark × configuration) grid fans out over
+:func:`repro.core.parallel.run_grid`, a pool of worker processes with
+per-cell timeouts, retries, and fault injection.  Both paths draw their
+cells from the same source, so they prepare, key, restore, checkpoint,
+and time cells identically, and their results are bit-identical.
+
+Memory discipline: benchmarks are prepared lazily, one at a time, so
+at most a few benchmarks' traces are alive at once.
 
 Resilience: pass ``store=`` (a :class:`~repro.core.runstore.RunStore`
 or a directory path) and every completed cell is checkpointed the
@@ -25,16 +29,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from repro.compiler.optimizer import LocalityOptimizer
-from repro.core.experiment import expected_version_keys, run_benchmark
 from repro.core.parallel import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
     CellFailure,
+    _GridCells,
     resolve_jobs,
     run_grid,
 )
 from repro.core.faults import FaultPlan
-from repro.core.runstore import RunStore, trace_checksum
+from repro.core.runstore import RunStore
 from repro.core.sweep import SweepResult
 from repro.core.versions import MECHANISMS, prepare_codes
 from repro.params import SENSITIVITY_CONFIGS, MachineParams, base_config
@@ -112,7 +116,7 @@ def run_suite(
 
     ``store``/``resume`` checkpoint and skip completed cells in both
     modes.  ``timeout``/``retries``/``backoff``/``faults``/
-    ``on_failure`` harden the parallel scheduler (see
+    ``on_failure`` harden the worker pool (see
     :func:`repro.core.parallel.run_grid`); the sequential path executes
     cells directly in this process, so per-cell kill/retry (and fault
     injection, which targets worker cells) does not apply there.
@@ -135,19 +139,16 @@ def run_suite(
     }
     reference = base_config().scaled(scale.machine_divisor)
     optimizer = LocalityOptimizer(reference)
-    if isinstance(store, (str, Path)):
-        store = RunStore(store)
 
-    suite = SuiteResult(scale.name)
-    for name, machine in machines.items():
-        suite.sweeps[name] = SweepResult(machine.name)
+    def prepare(spec):
+        return prepare_codes(spec, scale, reference, optimizer)
 
     workers = resolve_jobs(jobs)
     if workers > 1:
         grid = run_grid(
             specs,
             machines,
-            prepare=lambda spec: prepare_codes(spec, scale, reference, optimizer),
+            prepare,
             mechanisms=mechanisms,
             classify_misses=classify_misses,
             jobs=workers,
@@ -161,90 +162,29 @@ def run_suite(
             on_failure=on_failure,
             timeline=timeline,
         )
-        # Reassemble in the exact insertion order of a sequential run;
-        # permanently failed cells land on ``failures`` instead.
-        for spec in specs:
-            for config_name in machines:
-                value = grid[(config_name, spec.name)]
-                if isinstance(value, CellFailure):
-                    suite.failures.append(value)
-                else:
-                    suite.sweeps[config_name].runs[spec.name] = value
-        return suite
+    else:
+        grid = _GridCells(
+            specs,
+            machines,
+            prepare,
+            mechanisms,
+            classify_misses,
+            store=store,
+            resume=resume,
+            progress=progress,
+            timeline=timeline,
+        ).run_in_process()
 
-    expected = expected_version_keys(mechanisms)
+    # Reassemble in submission order; permanently failed cells land on
+    # ``failures`` instead.
+    suite = SuiteResult(scale.name)
+    for name, machine in machines.items():
+        suite.sweeps[name] = SweepResult(machine.name)
     for spec in specs:
-        if progress:
-            progress(f"preparing {spec.name}")
-        prep_start = timeline.clock() if timeline is not None else 0.0
-        codes = prepare_codes(spec, scale, reference, optimizer)
-        if timeline is not None:
-            timeline.record(
-                f"prepare {spec.name}",
-                spec.name,
-                "prepare",
-                start=prep_start,
-                status="prepare",
-            )
-        digests = (
-            [
-                trace_checksum(codes.base_trace),
-                trace_checksum(codes.optimized_trace),
-                trace_checksum(codes.selective_trace),
-            ]
-            if store is not None
-            else []
-        )
-        for config_name, machine in machines.items():
-            run = None
-            key = None
-            if store is not None:
-                key = store.cell_key(
-                    "cell",
-                    spec.name,
-                    config_name,
-                    scale=scale,
-                    machine=machine,
-                    mechanisms=mechanisms,
-                    classify_misses=classify_misses,
-                    digests=digests,
-                )
-                if resume:
-                    cached = store.get(key)
-                    if cached is not None and list(cached.results) == expected:
-                        run = cached
-                        if timeline is not None:
-                            timeline.restored(spec.name, config_name)
-                        if progress:
-                            progress(
-                                f"  {spec.name} on {config_name} "
-                                "(restored from store)"
-                            )
-            if run is None:
-                if progress:
-                    progress(f"  {spec.name} on {config_name}")
-                cell_start = (
-                    timeline.clock() if timeline is not None else 0.0
-                )
-                run = run_benchmark(codes, machine, mechanisms, classify_misses)
-                if timeline is not None:
-                    timeline.record(
-                        spec.name,
-                        spec.name,
-                        config_name,
-                        start=cell_start,
-                        status="ok",
-                    )
-                if store is not None:
-                    store.put(
-                        key,
-                        run,
-                        meta={
-                            "kind": "cell",
-                            "benchmark": spec.name,
-                            "config": config_name,
-                            "scale": scale.name,
-                        },
-                    )
-            suite.sweeps[config_name].runs[spec.name] = run
+        for config_name in machines:
+            value = grid[(config_name, spec.name)]
+            if isinstance(value, CellFailure):
+                suite.failures.append(value)
+            else:
+                suite.sweeps[config_name].runs[spec.name] = value
     return suite

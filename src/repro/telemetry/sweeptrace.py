@@ -1,17 +1,17 @@
 """Wall-clock timeline of a sweep: where the hours actually go.
 
-The fault-tolerant scheduler (:mod:`repro.core.parallel`) and the
-sequential suite driver record one :class:`WallSpan` per cell *attempt*
-into a :class:`SweepTimeline` — so retries, timeouts, in-process
-fallbacks, and store-restored cells are all visible — plus instant
-events for cells resumed from the run store.  Export via
-:func:`repro.telemetry.chrometrace.sweep_trace_events` renders one
-timeline row per machine configuration in Perfetto.
+Every sweep driver — the worker pool and the in-process reference
+sweep in :mod:`repro.core.parallel`, and the sweep service — records
+one :class:`WallSpan` per prepare step and per cell *attempt* into a
+:class:`SweepTimeline`, so retries, timeouts, and in-process fallbacks
+are all visible, plus instant events for cells resumed from the run
+store.  Export via :func:`repro.telemetry.chrometrace.sweep_trace_events`
+renders one timeline row per machine configuration in Perfetto.
 
 Timestamps are ``time.monotonic()`` seconds from the timeline's own
-start, taken in whichever process does the work; all spans of one
-sweep share the parent's clock (worker attempts are timed by the
-parent scheduler around the worker's lifetime).
+start.  All spans of one sweep share the parent's clock: a worker
+attempt is timed by :func:`repro.core.parallel.execute_cell` around the
+worker's lifetime.
 """
 
 from __future__ import annotations

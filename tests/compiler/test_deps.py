@@ -119,8 +119,8 @@ class TestRelations:
         assert nest_dependences(head).relations == []
 
     def test_coupled_subscript_direction(self):
-        # A[i, j] written, A[j, i] read: structurally misaligned for
-        # the legacy exact test, but the engine still bounds it.
+        # A[i, j] written, A[j, i] read: no single subscript pins a
+        # distance, but the engine still bounds it.
         A, _ = self._arrays()
         i, j = var("i"), var("j")
         head = nest(

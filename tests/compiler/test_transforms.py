@@ -2,15 +2,10 @@
 
 import numpy as np
 
-from repro.compiler.analysis.dependence import (
-    INDEPENDENT,
-    distance_vectors,
-    pair_distance,
-    permutation_legal,
-)
+from repro.compiler.analysis.deps import EQ, LT, Permutation, nest_dependences
 from repro.compiler.ir.builder import ProgramBuilder, loop, stmt
 from repro.compiler.ir.expr import var
-from repro.compiler.ir.refs import RegisterRef
+from repro.compiler.ir.refs import AffineRef, ArrayDecl, RegisterRef
 from repro.compiler.optimizer import LocalityOptimizer
 from repro.compiler.regions.detect import detect_regions
 from repro.compiler.transforms.interchange import apply_interchange
@@ -55,59 +50,85 @@ def paper_example(n=16):
 
 
 class TestDependence:
-    def _refs(self, n=8):
-        b = ProgramBuilder("d")
-        a = b.array("A", (n, n))
-        return a
+    """Dependence questions the transforms ask, answered by the engine."""
+
+    def _array(self, n=8):
+        return ProgramBuilder("d").array("A", (n, n))
+
+    def _deps(self, write, read, loops=("i", "j"), n=8):
+        body = [stmt(writes=[write], reads=[read], work=1)]
+        for name in reversed(loops):
+            body = [loop(name, 1, n, body)]
+        return nest_dependences(body[0])
 
     def test_uniform_distance(self):
-        a = self._refs()
+        a = self._array()
         i, j = var("i"), var("j")
-        dist = pair_distance(a[i, j], a[i - 1, j], ["i", "j"])
-        assert dist == (1, 0)
+        (rel,) = self._deps(a[i, j], a[i - 1, j]).relations
+        assert rel.directions == (LT, EQ)
+        assert rel.distance == (1, 0)
 
     def test_independent_constants(self):
-        a = self._refs()
+        a = self._array()
         i = var("i")
-        assert pair_distance(a[i, 0], a[i, 1], ["i"]) == INDEPENDENT
+        deps = self._deps(a[i, 0], a[i, 1], loops=("i",))
+        assert deps.analyzable
+        assert deps.relations == []
 
     def test_structural_mismatch_unknown(self):
-        a = self._refs()
+        # A[i, j] against A[j, i]: no subscript pins a distance, but the
+        # engine still proves a dependence that forbids interchange.
+        a = self._array()
         i, j = var("i"), var("j")
-        assert pair_distance(a[i, j], a[j, i], ["i", "j"]) is None
+        deps = self._deps(a[i, j], a[j, i])
+        assert deps.analyzable
+        assert deps.relations
+        assert not deps.legal(Permutation((1, 0)))
 
     def test_coupled_subscript_unknown(self):
-        a = self._refs()
+        # A[i + j, j] against itself: the coupled subscript together
+        # with the second one pins the pair to the same iteration.
+        a = self._array()
         i, j = var("i"), var("j")
-        assert pair_distance(a[i + j, j], a[i + j, j], ["i", "j"]) is None
+        (rel,) = self._deps(a[i + j, j], a[i + j, j]).relations
+        assert rel.directions == (EQ, EQ)
+        assert rel.distance == (0, 0)
 
     def test_rank_mismatch_unknown_not_truncated(self):
         # Same array name declared with different ranks: zipping the
         # subscripts would silently drop one and "answer" (0,); the
-        # analysis must refuse instead.
-        from repro.compiler.ir.refs import AffineRef, ArrayDecl
-
-        a = self._refs()
+        # analysis must refuse instead, in either order.
+        a = self._array()
         flat = ArrayDecl("A", (64,))
         i, j = var("i"), var("j")
         two_d = a[i, j]
         one_d = AffineRef(flat, (var("i"),))
-        assert pair_distance(two_d, one_d, ["i", "j"]) is None
-        assert pair_distance(one_d, two_d, ["i", "j"]) is None
+        for write, read in ((two_d, one_d), (one_d, two_d)):
+            deps = self._deps(write, read)
+            assert not deps.analyzable
+            assert any(
+                "rank mismatch" in bad.reason for bad in deps.unanalyzable
+            )
 
     def test_permutation_legality(self):
-        assert permutation_legal([(0, 1)], (1, 0))   # becomes (1, 0): ok
-        assert not permutation_legal([(1, -1)], (1, 0))  # (-1, 1): bad
-        assert not permutation_legal(None, (0, 1))
+        a = self._array()
+        i, j = var("i"), var("j")
+        # Distance (0, 1) becomes (1, 0) under interchange: legal.
+        assert self._deps(a[i, j], a[i, j - 1]).legal(Permutation((1, 0)))
+        # Distance (1, -1) becomes (-1, 1): refused.
+        assert not self._deps(a[i, j], a[i - 1, j + 1]).legal(
+            Permutation((1, 0))
+        )
+        # Unknown dependences refuse every order, even the identity.
+        flat = ArrayDecl("A", (64,))
+        unknown = self._deps(a[i, j], AffineRef(flat, (i,)))
+        assert not unknown.legal(Permutation((0, 1)))
 
     def test_vectors_for_stencil(self):
-        a = self._refs()
+        a = self._array()
         i, j = var("i"), var("j")
-        statements = [
-            stmt(writes=[a[i, j]], reads=[a[i, j - 1]], work=1),
-        ]
-        vectors = distance_vectors(["i", "j"], statements)
-        assert vectors == [(0, 1)]
+        deps = self._deps(a[i, j], a[i, j - 1])
+        assert [rel.distance for rel in deps.relations] == [(0, 1)]
 
 
 class TestInterchange:

@@ -136,6 +136,30 @@ class TestSweepTimeline:
         assert {span.benchmark for span in oks} == set(BENCHMARKS)
         assert timeline.total_busy_seconds() > 0.0
 
+    def test_retried_cell_records_one_span_per_attempt(self):
+        from repro.core.faults import FaultPlan
+        from repro.telemetry import SweepTimeline
+
+        timeline = SweepTimeline()
+        suite = run_suite(
+            TINY,
+            benchmarks=["vpenta"],
+            configs={"Base Confg.": CONFIGS["Base Confg."]},
+            jobs=2,
+            retries=1,
+            backoff=0.05,
+            faults=FaultPlan.parse("raise:vpenta:*:1"),
+            timeline=timeline,
+        )
+        assert suite.complete
+        assert [(span.status, span.attempt) for span in timeline.spans] == [
+            ("prepare", 1),
+            ("error", 1),
+            ("ok", 2),
+        ]
+        assert "FaultInjected" in timeline.spans[1].annotations["message"]
+        assert timeline.spans[2].annotations == {}
+
     def test_exports_as_valid_chrome_trace(self):
         from repro.telemetry import SweepTimeline, sweep_trace_events, validate_trace
 

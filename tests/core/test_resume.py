@@ -16,10 +16,14 @@ same way the static verify suite proved the compiler:
 * hung workers are killed at the per-cell timeout;
 * corrupted store entries are rejected by checksum verification and
   recomputed;
-* an unusable worker pool falls back to in-process execution.
+* an unusable worker pool falls back to in-process execution;
+* an aborted grid leaves no worker process running.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import time
 
 import pytest
 
@@ -237,6 +241,56 @@ class TestGracefulDegradation:
         assert suite.complete
         assert any("in-process" in m for m in messages)
         assert_suites_equal(suite, reference_suite)
+
+
+class TestAbortedGrid:
+    """Leaving a grid early kills the sibling cells still in flight."""
+
+    @staticmethod
+    def abort(progress):
+        reference_machine = base_config().scaled(TINY.machine_divisor)
+        # compress's worker hangs for an hour; vpenta, launched beside
+        # it, fails permanently and aborts the grid.
+        run_grid(
+            [get_spec("compress"), get_spec("vpenta")],
+            {CONFIG_NAME: CONFIGS[CONFIG_NAME]().scaled(TINY.machine_divisor)},
+            prepare=lambda spec: prepare_codes(spec, TINY, reference_machine),
+            mechanisms=MECHANISMS,
+            jobs=2,
+            retries=0,
+            faults=FaultPlan.parse("hang:compress:*;raise:vpenta:*"),
+            on_failure="raise",
+            progress=progress,
+        )
+
+    def test_sweep_interrupted_kills_in_flight_workers(self):
+        live: list[int] = []
+        failed_at: list[float] = []
+
+        def progress(message: str) -> None:
+            if "FAILED" in message:
+                live.append(len(multiprocessing.active_children()))
+                failed_at.append(time.monotonic())
+
+        with pytest.raises(SweepInterrupted) as excinfo:
+            self.abort(progress)
+        assert time.monotonic() - failed_at[0] < 8 * parallel._POLL_SECONDS
+        assert excinfo.value.failure.benchmark == "vpenta"
+        assert live[0] >= 1  # the hung compress worker was running
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_from_progress_kills_in_flight_workers(self):
+        live: list[int] = []
+
+        def progress(message: str) -> None:
+            if "FAILED" in message:
+                live.append(len(multiprocessing.active_children()))
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            self.abort(progress)
+        assert live[0] >= 1
+        assert multiprocessing.active_children() == []
 
 
 class TestCorruptStore:
